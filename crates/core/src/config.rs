@@ -47,7 +47,12 @@ pub struct Config {
     pub strategy: TruncationStrategy,
     /// History representation (§3.2 optimisation vs. bounded buffer).
     pub history_mode: HistoryMode,
-    /// Unsubscription obsolescence window in ticks (§3.4).
+    /// Unsubscription obsolescence window in ticks (§3.4): a record is
+    /// dropped once the local clock is more than this many ticks past its
+    /// `issued_at`. Receiving an unsubscription section first advances
+    /// the local clock to the section's newest timestamp (a Lamport
+    /// clock), so processes that joined late age records on the same
+    /// scale as the bootstrap members.
     pub unsub_obsolescence: u64,
     /// Refuse own unsubscription while `|unSubs|` exceeds this (§3.4).
     pub unsub_refusal_threshold: usize,

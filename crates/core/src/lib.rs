@@ -72,4 +72,4 @@ pub use message::{Digest, Gossip, Message, Output, UnsubSection};
 pub use process::Lpbcast;
 pub use stats::ProcessStats;
 pub use time::LogicalTime;
-pub use unsub::{UnsubDigest, UnsubscribeRefused, Unsubscription};
+pub use unsub::{UnsubBuffer, UnsubDigest, UnsubscribeRefused, Unsubscription};

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use lpbcast_types::{CompactDigest, Event, EventId, ProcessId};
 
+use crate::time::LogicalTime;
 use crate::unsub::{UnsubDigest, Unsubscription};
 
 /// The digest of delivered notifications carried by every gossip message
@@ -93,6 +94,17 @@ impl UnsubSection {
         match self {
             UnsubSection::Flat(records) => records.len(),
             UnsubSection::Digest(d) => d.record_count(),
+        }
+    }
+
+    /// The newest `issued_at` carried, or `None` for an empty section:
+    /// the value a receiver advances its clock to before judging
+    /// obsolescence (see [`Unsubscription`]). The digest's groups ascend
+    /// by timestamp, so that form answers without a scan.
+    pub fn newest(&self) -> Option<LogicalTime> {
+        match self {
+            UnsubSection::Flat(records) => records.iter().map(|u| u.issued_at()).max(),
+            UnsubSection::Digest(d) => d.groups().last().map(|(t, _)| *t),
         }
     }
 
@@ -218,7 +230,6 @@ pub type Output = lpbcast_types::Output<Message>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::LogicalTime;
     use lpbcast_types::CompactDigest;
 
     fn pid(p: u64) -> ProcessId {
@@ -269,7 +280,7 @@ mod tests {
     #[test]
     fn unsub_section_forms_agree() {
         let records = vec![
-            Unsubscription::new(pid(1), LogicalTime::new(4)),
+            Unsubscription::new(pid(1), LogicalTime::new(7)),
             Unsubscription::new(pid(2), LogicalTime::new(4)),
         ];
         let flat = UnsubSection::Flat(records.clone());
@@ -283,7 +294,10 @@ mod tests {
         a.sort_by_key(|u| u.process());
         b.sort_by_key(|u| u.process());
         assert_eq!(a, b, "same records regardless of representation");
+        assert_eq!(flat.newest(), Some(LogicalTime::new(7)));
+        assert_eq!(digest.newest(), Some(LogicalTime::new(7)));
         assert!(UnsubSection::empty().is_empty());
+        assert_eq!(UnsubSection::empty().newest(), None);
     }
 
     #[test]

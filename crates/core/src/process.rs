@@ -12,7 +12,7 @@ use crate::join::JoinState;
 use crate::message::{Gossip, Message, Output, UnsubSection};
 use crate::stats::ProcessStats;
 use crate::time::LogicalTime;
-use crate::unsub::{UnsubDigest, UnsubscribeRefused, Unsubscription};
+use crate::unsub::{UnsubBuffer, UnsubscribeRefused, Unsubscription};
 
 /// One lpbcast process: a deterministic, sans-IO state machine.
 ///
@@ -34,7 +34,7 @@ pub struct Lpbcast {
     /// `subs`: subscriptions eligible for forwarding.
     subs: BoundedSet<ProcessId>,
     /// `unSubs`: unsubscriptions eligible for forwarding.
-    unsubs: BoundedSet<Unsubscription>,
+    unsubs: UnsubBuffer,
     /// `events`: notifications received since the last outgoing gossip.
     events: BoundedSet<Event>,
     /// `eventIds`: history of delivered notification ids.
@@ -65,7 +65,7 @@ impl Lpbcast {
         debug_assert!(config.validate().is_ok(), "invalid config");
         let view = PartialView::new(id, config.view_size, config.strategy);
         let subs = BoundedSet::new(config.subs_max);
-        let unsubs = BoundedSet::new(config.unsubs_max);
+        let unsubs = UnsubBuffer::new(config.unsubs_max);
         let events = BoundedSet::new(config.events_max);
         let history = EventHistory::new(config.history_mode, config.event_ids_max);
         let archive = EventArchive::new(config.archive_capacity);
@@ -127,7 +127,8 @@ impl Lpbcast {
         self.id
     }
 
-    /// The local logical clock (ticks elapsed).
+    /// The local logical clock: ticks elapsed, advanced to the newest
+    /// unsubscription timestamp received (see [`Unsubscription`]).
     pub fn now(&self) -> LogicalTime {
         self.now
     }
@@ -335,11 +336,11 @@ impl Lpbcast {
         // the record set carried is identical either way.
         let now = self.now;
         let window = self.config.unsub_obsolescence;
-        self.unsubs.retain(|u| !u.is_obsolete(now, window));
+        self.unsubs.expire(now, window);
         let gossip_unsubs = if !include_membership {
             UnsubSection::empty()
         } else if self.config.digest_unsubs {
-            UnsubSection::Digest(UnsubDigest::from_records(self.unsubs.to_vec()))
+            UnsubSection::Digest(self.unsubs.digest())
         } else {
             UnsubSection::Flat(self.unsubs.to_vec())
         };
@@ -385,6 +386,16 @@ impl Lpbcast {
         self.join = None;
 
         // ── Phase 1: unsubscriptions ──────────────────────────────────
+        // Clock rule: advance to the section's newest timestamp before
+        // judging obsolescence, as a Lamport clock does. A process that
+        // joined in round j started counting at zero; without the rule it
+        // judges every record j ticks late, keeps and re-gossips records
+        // the bootstrap members dropped long ago, and stamps its own
+        // departure so early that they drop it on arrival. Sections
+        // without records leave the clock alone.
+        if let Some(newest) = gossip.unsubs.newest() {
+            self.now = self.now.max(newest);
+        }
         // Representation-agnostic: flat and digested sections yield the
         // same records, so the §3.4 purge path below cannot diverge.
         for unsub in gossip.unsubs.iter() {
@@ -858,6 +869,123 @@ mod tests {
         let out = a.tick();
         let g = any_gossip(&out.outgoing);
         assert!(g.unsubs.is_empty(), "stale unsub not forwarded");
+    }
+
+    /// A gossip from `sender` that carries only `unsubs`.
+    fn unsub_gossip(sender: ProcessId, unsubs: Vec<Unsubscription>) -> Message {
+        Message::gossip(Gossip {
+            sender,
+            subs: vec![sender],
+            unsubs: unsubs.into(),
+            events: vec![],
+            event_ids: Digest::empty(),
+        })
+    }
+
+    fn unsub_window(window: u64) -> Config {
+        Config::builder()
+            .view_size(4)
+            .fanout(1)
+            .unsub_obsolescence(window)
+            .build()
+    }
+
+    #[test]
+    fn joiner_drops_a_record_at_the_same_tick_as_a_bootstrap_peer() {
+        // The joiner starts its clock at zero 20 ticks into the run; the
+        // clock rule moves it to the record's timestamp on receipt.
+        let mut boot = Lpbcast::with_initial_view(pid(0), unsub_window(3), 1, [pid(1), pid(5)]);
+        for _ in 0..20 {
+            boot.tick();
+        }
+        let mut joiner = Lpbcast::joining(pid(9), unsub_window(3), 2, vec![pid(1)]);
+        joiner.tick();
+        let record = Unsubscription::new(pid(5), LogicalTime::new(20));
+        boot.handle_message(pid(1), unsub_gossip(pid(1), vec![record]));
+        joiner.handle_message(pid(1), unsub_gossip(pid(1), vec![record]));
+        assert_eq!(joiner.now(), boot.now());
+        for tick in 1..=5 {
+            let b = any_gossip(&boot.tick().outgoing)
+                .unsubs
+                .contains_process(pid(5));
+            let j = any_gossip(&joiner.tick().outgoing)
+                .unsubs
+                .contains_process(pid(5));
+            assert_eq!(b, tick <= 3, "bootstrap peer forwards for the window only");
+            assert_eq!(j, b, "tick {tick}: the joiner ages the record differently");
+        }
+    }
+
+    #[test]
+    fn a_departed_joiners_record_is_live_at_a_bootstrap_peer() {
+        let mut boot = Lpbcast::with_initial_view(pid(0), unsub_window(3), 1, [pid(1), pid(9)]);
+        for _ in 0..20 {
+            boot.tick();
+        }
+        let mut joiner = Lpbcast::joining(pid(9), unsub_window(3), 2, vec![pid(0)]);
+        joiner.tick();
+        let other = Unsubscription::new(pid(7), LogicalTime::new(20));
+        joiner.handle_message(pid(0), unsub_gossip(pid(0), vec![other]));
+        joiner.unsubscribe().expect("buffer below threshold");
+        let farewell = any_gossip(&joiner.tick().outgoing);
+        let own = farewell
+            .unsubs
+            .iter()
+            .find(|u| u.process() == pid(9))
+            .expect("own record gossiped");
+        assert_eq!(
+            own.issued_at(),
+            LogicalTime::new(20),
+            "stamped on the system's scale"
+        );
+
+        boot.handle_message(pid(9), Message::gossip(farewell));
+        assert!(!boot.view().contains(pid(9)), "record applied on arrival");
+        assert_eq!(boot.stats().unsubs_applied, 1);
+        let forwarded = any_gossip(&boot.tick().outgoing);
+        assert!(forwarded.unsubs.contains_process(pid(9)));
+    }
+
+    #[test]
+    fn without_unsubscriptions_clocks_count_ticks() {
+        let config = small_config();
+        let ids: Vec<ProcessId> = (0..6).map(pid).collect();
+        let mut procs: Vec<Lpbcast> = ids
+            .iter()
+            .map(|&id| {
+                let others = ids.iter().copied().filter(|&p| p != id);
+                Lpbcast::with_initial_view(id, config.clone(), 3, others)
+            })
+            .collect();
+        let mut ticks: Vec<u64> = vec![0; ids.len()];
+        for round in 0..30 {
+            if round == 10 {
+                procs.push(Lpbcast::joining(pid(6), config.clone(), 3, vec![pid(0)]));
+                ticks.push(0);
+            }
+            if round % 4 == 0 {
+                procs[0].broadcast(b"e".as_ref());
+            }
+            let mut sent = Vec::new();
+            for (p, count) in procs.iter_mut().zip(&mut ticks) {
+                *count += 1;
+                let from = p.id();
+                sent.extend(p.tick().outgoing.into_iter().map(|(to, m)| (from, to, m)));
+            }
+            for (from, to, m) in sent {
+                if let Some(dest) = procs.iter_mut().find(|q| q.id() == to) {
+                    dest.handle_message(from, m);
+                }
+            }
+        }
+        for (p, count) in procs.iter().zip(&ticks) {
+            assert_eq!(
+                p.now().as_u64(),
+                *count,
+                "{} moved off its tick count",
+                p.id()
+            );
+        }
     }
 
     #[test]

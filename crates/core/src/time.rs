@@ -9,9 +9,13 @@ use core::fmt;
 /// every process's clock identical. The UDP runtime advances each node's
 /// clock on its own (non-synchronized) gossip timer — the paper's actual
 /// deployment model (§3.2: *"non-synchronized periodical gossips"*).
-/// Unsubscription timestamps (§3.4) are expressed in this clock and are
-/// therefore only approximately comparable across processes; the
-/// obsolescence window must absorb the skew.
+/// Unsubscription timestamps (§3.4) are expressed in this clock. Receiving
+/// an unsubscription section advances the clock to the section's newest
+/// timestamp, as a Lamport clock does, so a process that joined late (and
+/// started counting at zero) judges obsolescence on the same scale as the
+/// bootstrap members; without unsubscriptions the clock only moves by
+/// ticks. On the UDP runtime the remaining skew between free-running
+/// timers must still be absorbed by the obsolescence window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LogicalTime(u64);
 
@@ -29,10 +33,12 @@ impl LogicalTime {
         self.0
     }
 
-    /// Advances by one tick.
+    /// Advances by one tick, saturating at `u64::MAX`: a clock that a
+    /// hostile timestamp fast-forwarded to the end of the range stays
+    /// there instead of wrapping or panicking.
     #[must_use]
     pub const fn next(self) -> LogicalTime {
-        LogicalTime(self.0 + 1)
+        LogicalTime(self.0.saturating_add(1))
     }
 
     /// Ticks elapsed since `earlier` (saturating: clock skew between
@@ -69,6 +75,12 @@ mod tests {
         let t = LogicalTime::ZERO;
         assert_eq!(t.next().as_u64(), 1);
         assert!(t < t.next());
+    }
+
+    #[test]
+    fn next_saturates_at_the_end_of_the_range() {
+        let end = LogicalTime::new(u64::MAX);
+        assert_eq!(end.next(), end);
     }
 
     #[test]

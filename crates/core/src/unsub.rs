@@ -8,15 +8,25 @@
 use core::fmt;
 
 use lpbcast_types::ProcessId;
+use rand::Rng;
 
 use crate::time::LogicalTime;
 
 /// A record that `process` has left the system, stamped with the leaving
 /// process's logical clock.
 ///
-/// Identity (equality/hash) is by process only: a newer unsubscription for
-/// the same process replaces rather than duplicates an older one in the
-/// `unSubs` buffer.
+/// Identity (equality/hash) is by process only: the `unSubs` buffer keeps
+/// at most one record per process, and a second record for a process it
+/// already holds leaves the buffer unchanged (§3.2).
+///
+/// Clock rule: a process that receives a non-empty unsubscription section
+/// first advances its clock to the newest `issued_at` in it, as a Lamport
+/// clock does, and only then judges obsolescence. Every process therefore
+/// ages a record on the same scale, including one that joined late and
+/// started its clock at zero. Timestamps are not authenticated: a lying
+/// sender can fast-forward its receivers' clocks (up to `u64::MAX`, where
+/// the clock saturates), which makes every honest record look obsolete.
+/// Defending against that belongs with the Byzantine tier, not here.
 #[derive(Debug, Clone, Copy)]
 pub struct Unsubscription {
     process: ProcessId,
@@ -199,6 +209,130 @@ impl PartialEq for UnsubDigest {
 }
 
 impl Eq for UnsubDigest {}
+
+/// The `unSubs` buffer (§3.2): at most one record per process, a maximum
+/// size with random truncation, and expiry of obsolete records (§3.4).
+///
+/// It behaves exactly like a `BoundedSet<Unsubscription>`: the same item
+/// order under insertion, random truncation and expiry, and the same
+/// random draws, so swapping it in changes no deterministic output. In
+/// place of that set's hash index it keeps a pid-sorted side index over
+/// the insertion-ordered records. Membership is a binary search, and the
+/// canonical wire groups of an [`UnsubDigest`] come out of one pass over
+/// the index (ids arrive sorted; only the few distinct timestamps are
+/// kept in order) instead of a sort of every record per gossip.
+#[derive(Debug, Clone)]
+pub struct UnsubBuffer {
+    /// The records in `BoundedSet` order: appended on insert, removed by
+    /// swap-remove. Gossip sections iterate this order.
+    records: Vec<Unsubscription>,
+    /// `(process, issued_at)` of every record, ascending by process.
+    by_pid: Vec<(ProcessId, LogicalTime)>,
+    max_len: usize,
+}
+
+impl UnsubBuffer {
+    /// Creates an empty buffer with maximum size `max_len` (`|unSubs|m`).
+    pub fn new(max_len: usize) -> Self {
+        UnsubBuffer {
+            records: Vec::new(),
+            by_pid: Vec::new(),
+            max_len,
+        }
+    }
+
+    /// Number of records held.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the buffer holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Where `process` sits in the pid index, or where it would go.
+    fn find(&self, process: ProcessId) -> Result<usize, usize> {
+        self.by_pid.binary_search_by_key(&process, |&(p, _)| p)
+    }
+
+    /// Inserts `unsub`; returns `true` if no record for its process was
+    /// held. A record for a held process leaves the buffer unchanged.
+    pub fn insert(&mut self, unsub: Unsubscription) -> bool {
+        let Err(at) = self.find(unsub.process()) else {
+            return false;
+        };
+        self.by_pid.insert(at, (unsub.process(), unsub.issued_at()));
+        self.records.push(unsub);
+        true
+    }
+
+    /// Removes uniformly random records until the buffer respects its
+    /// maximum size; returns how many were removed. Draws from `rng`
+    /// exactly as `BoundedSet::truncate_random_count` does.
+    pub fn truncate_random_count<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
+        let mut evicted = 0;
+        while self.records.len() > self.max_len {
+            let pos = rng.gen_range(0..self.records.len());
+            let unsub = self.records.swap_remove(pos);
+            if let Ok(at) = self.find(unsub.process()) {
+                self.by_pid.remove(at);
+            }
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// Drops every record obsolete at `now` under `window` (§3.4);
+    /// returns how many were dropped.
+    ///
+    /// The records leave as a `BoundedSet` filter would remove them: one
+    /// at a time in their original order, each by swap-remove. One pass
+    /// replays that with a position table instead of a lookup per record.
+    pub fn expire(&mut self, now: LogicalTime, window: u64) -> usize {
+        let doomed: Vec<usize> = (0..self.records.len())
+            .filter(|&i| self.records[i].is_obsolete(now, window))
+            .collect();
+        if doomed.is_empty() {
+            return 0;
+        }
+        self.by_pid.retain(|&(_, t)| now.since(t) <= window);
+        // `at[p]`: original index of the record now at position `p`;
+        // `pos[i]`: current position of the record originally at `i`.
+        let mut at: Vec<usize> = (0..self.records.len()).collect();
+        let mut pos = at.clone();
+        for &i in &doomed {
+            let p = pos[i];
+            let last = self.records.len() - 1;
+            self.records.swap_remove(p);
+            if p < last {
+                at[p] = at[last];
+                pos[at[p]] = p;
+            }
+        }
+        doomed.len()
+    }
+
+    /// The records in buffer order (a flat gossip section).
+    pub fn to_vec(&self) -> Vec<Unsubscription> {
+        self.records.clone()
+    }
+
+    /// The records as a digested gossip section: buffer order for
+    /// iteration, canonical wire groups built from the pid index.
+    pub fn digest(&self) -> UnsubDigest {
+        let mut groups: Vec<(LogicalTime, Vec<ProcessId>)> = Vec::new();
+        for &(p, t) in &self.by_pid {
+            match groups.binary_search_by_key(&t, |(gt, _)| *gt) {
+                Ok(g) => groups[g].1.push(p),
+                Err(g) => groups.insert(g, (t, vec![p])),
+            }
+        }
+        let records = self.records.clone();
+        debug_assert!(groups == canonical_groups(&records));
+        UnsubDigest { records, groups }
+    }
+}
 
 /// Error returned when a process's own unsubscription is refused.
 ///

@@ -771,6 +771,45 @@ mod tests {
         assert!(fresh_seen, "delivery resumes after heal");
     }
 
+    /// The clock rule through the runtime: a datagram claiming an
+    /// unsubscription issued at the end of time fast-forwards the
+    /// receiving instance's clock, and the steps that receive it and fire
+    /// its next tick must not panic (the panic-free rule for this path).
+    #[test]
+    fn end_of_time_unsub_timestamp_cannot_panic_a_step() {
+        use lpbcast_core::{Digest, Gossip, LogicalTime, Message, Unsubscription};
+        let end = LogicalTime::new(u64::MAX);
+        let (me, liar) = (ProcessId::new(0), ProcessId::new(1));
+        let mut cluster = cluster_of(1, 0, &[me, liar], Duration::from_millis(2));
+        let gossip = Message::gossip(Gossip {
+            sender: liar,
+            subs: vec![liar],
+            unsubs: vec![Unsubscription::new(ProcessId::new(7), end)].into(),
+            events: vec![],
+            event_ids: Digest::empty(),
+        });
+        let mut datagram = BytesMut::new();
+        wire::encode_cluster_header(liar, me, &mut datagram);
+        wire::encode_frame(&gossip, &mut datagram);
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        socket
+            .send_to(&datagram, cluster.local_addrs()[0])
+            .expect("send");
+
+        let clock = |c: &Cluster<Lpbcast>| c.with_instance(me, Lpbcast::now).expect("hosted");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while clock(&cluster) != end && Instant::now() < deadline {
+            cluster.step(Duration::from_millis(2)).expect("step");
+        }
+        assert_eq!(clock(&cluster), end, "hostile datagram handled");
+        let ticks = cluster.stats().ticks;
+        while cluster.stats().ticks == ticks && Instant::now() < deadline {
+            cluster.step(Duration::from_millis(2)).expect("step");
+        }
+        assert!(cluster.stats().ticks > ticks, "ticked after the jump");
+        assert_eq!(clock(&cluster), end, "clock saturates");
+    }
+
     #[test]
     fn link_fault_hook_can_black_hole_egress() {
         let interval = Duration::from_millis(5);

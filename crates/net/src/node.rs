@@ -252,7 +252,8 @@ pub struct NodeSnapshot {
     pub view: Vec<ProcessId>,
     /// Lifetime counters.
     pub stats: ProcessStats,
-    /// Ticks elapsed.
+    /// The logical clock: ticks elapsed, advanced to the newest
+    /// unsubscription timestamp received.
     pub ticks: u64,
     /// Whether the §3.4 join handshake is still pending.
     pub joining: bool,

@@ -1099,6 +1099,41 @@ mod tests {
         assert_roundtrip(sample_gossip());
     }
 
+    /// A hostile sender can claim any unsubscription timestamp. The
+    /// receiver's clock follows it to the end of the range (the clock
+    /// rule) and then saturates: decoding, handling and ticking must not
+    /// panic or wrap, in either section form.
+    #[test]
+    fn end_of_time_unsub_timestamps_saturate_the_clock() {
+        use lpbcast_core::{Config, Lpbcast};
+        let end = LogicalTime::new(u64::MAX);
+        let record = Unsubscription::new(pid(5), end);
+        let sections = [
+            UnsubSection::Flat(vec![record]),
+            UnsubSection::Digest(UnsubDigest::from_records([record])),
+        ];
+        for unsubs in sections {
+            let hostile = Message::gossip(Gossip {
+                sender: pid(1),
+                subs: vec![pid(1)],
+                unsubs,
+                events: vec![],
+                event_ids: Digest::empty(),
+            });
+            let decoded: Message = decode(&encode(&hostile)).expect("decodes");
+            let config = Config::builder().view_size(4).fanout(2).build();
+            let mut p = Lpbcast::with_initial_view(pid(0), config, 7, [pid(1), pid(2)]);
+            p.tick();
+            p.handle_message(pid(1), decoded);
+            assert_eq!(p.now(), end, "clock follows the newest timestamp");
+            for _ in 0..3 {
+                let out = p.tick();
+                assert_eq!(p.now(), end, "clock saturates instead of wrapping");
+                assert!(!out.outgoing.is_empty(), "gossip still goes out");
+            }
+        }
+    }
+
     #[test]
     fn gossip_roundtrip_compact_digest() {
         let mut d = CompactDigest::new();

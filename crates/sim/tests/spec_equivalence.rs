@@ -84,10 +84,10 @@ fn specs_match_legacy_runs_pbcast() {
     assert_legacy_spec_equivalence::<Pbcast>(ProtocolKind::Pbcast, 72, 11);
 }
 
-/// Full-scale reference pin: the three PR 5 committed scenarios,
+/// Full-scale reference pin: the three committed reference scenarios,
 /// re-expressed as ScenarioSpecs, must reproduce the committed
 /// reference rows at n = 10⁴, seed 1 — lpbcast churn completes
-/// 2998/3000 joins at mean reliability 0.9959, the 30%-crash
+/// 2997/3000 joins at mean reliability 0.9958, the 30%-crash
 /// catastrophe recovers in 15 rounds, and the partition heals to one
 /// SCC in 6 rounds.
 #[test]
@@ -102,10 +102,10 @@ fn specs_reproduce_the_committed_reference_rows() {
     let legacy = churn_scenario_faulted(&ChurnParams::<Lpbcast>::scaled(n), None, seed);
     assert_eq!(churn, legacy, "churn spec diverged from the legacy run");
     assert_eq!(churn.joins_attempted, 3000);
-    assert_eq!(churn.joins_completed, 2998);
+    assert_eq!(churn.joins_completed, 2997);
     assert!(
-        (churn.mean_reliability - 0.9959).abs() < 5e-5,
-        "churn mean reliability drifted from the committed 0.9959: {}",
+        (churn.mean_reliability - 0.9958).abs() < 5e-5,
+        "churn mean reliability drifted from the committed 0.9958: {}",
         churn.mean_reliability
     );
 

@@ -7,7 +7,8 @@
 //! Two eviction disciplines appear in Figure 1(a):
 //!
 //! * **random removal** (`view`, `subs`, `unSubs`, `events`):
-//!   `while |L| > |L|m do remove random element from L` — [`BoundedSet`];
+//!   `while |L| > |L|m do remove random element from L` — [`BoundedSet`]
+//!   (lpbcast-core's `UnsubBuffer` reproduces it for `unSubs`);
 //! * **oldest-first removal** (`eventIds`):
 //!   `while |eventIds| > |eventIds|m do remove oldest element` —
 //!   [`OldestFirstBuffer`].
@@ -22,7 +23,7 @@ use rand::Rng;
 
 /// A no-duplicate collection with a maximum size and *random* truncation.
 ///
-/// Backs the paper's `view`, `subs`, `unSubs` and `events` lists. Insertion
+/// Backs the paper's `view`, `subs` and `events` lists. Insertion
 /// of an already-present element leaves the buffer unchanged and reports
 /// `false`. Exceeding the maximum size is allowed *transiently*: the
 /// protocol inserts a batch and then calls [`truncate_random`], mirroring
@@ -241,14 +242,6 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
     /// A snapshot of the contents as a vector (unspecified order).
     pub fn to_vec(&self) -> Vec<T> {
         self.items.clone()
-    }
-
-    /// Retains only elements for which the predicate holds.
-    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        let removed: Vec<T> = self.items.iter().filter(|t| !keep(t)).cloned().collect();
-        for item in &removed {
-            self.remove(item);
-        }
     }
 }
 
@@ -490,16 +483,6 @@ mod tests {
         s.extend([4, 5]);
         s.clear();
         assert!(s.is_empty() && !s.contains(&4));
-    }
-
-    #[test]
-    fn bounded_set_retain() {
-        let mut s = BoundedSet::new(10);
-        s.extend(0..10);
-        s.retain(|x| x % 2 == 0);
-        assert_eq!(s.len(), 5);
-        assert!(s.iter().all(|x| x % 2 == 0));
-        assert!(s.contains(&8) && !s.contains(&9));
     }
 
     #[test]
