@@ -74,6 +74,13 @@ pub struct Config {
     /// history — so ids keep disseminating through digests — and reported
     /// as [`Output::learned_ids`](crate::Output::learned_ids). When
     /// `false`, digests are only used for retransmission pulls.
+    ///
+    /// The absorption trusts peers' digests: every advertised id the
+    /// history lacks is absorbed, so a digest claiming a watermark near
+    /// the end of the `u64` range makes one receive enumerate that many
+    /// ids. It is a measurement convention for trusted runs (the
+    /// simulator); the pull path takes at most `retransmit_request_max`
+    /// ids per digest whatever it advertises.
     pub deliver_on_digest: bool,
     /// Capacity of the archive of old notifications kept to serve
     /// retransmission requests (§3.2: *"Older notifications are stored in

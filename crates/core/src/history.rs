@@ -84,36 +84,54 @@ impl EventHistory {
     }
 
     /// Ids advertised by `digest` that this history has not delivered —
-    /// the candidates for a retransmission pull (§2.3 footnote 5).
-    pub fn missing_from(&self, digest: &Digest) -> Vec<EventId> {
-        match digest {
-            Digest::Ids(ids) => ids
-                .iter()
-                .copied()
-                .filter(|&id| !self.contains(id))
-                .collect(),
-            Digest::Compact(theirs) => match self {
-                EventHistory::Compact(ours) => ours.missing_relative_to(theirs),
-                EventHistory::Bounded(_) => {
-                    // Enumerate their ids exactly and filter locally.
-                    let mut missing = Vec::new();
-                    for (origin, od) in theirs.iter() {
-                        for seq in 0..od.next_seq() {
-                            let id = EventId::new(origin, seq);
-                            if !self.contains(id) {
-                                missing.push(id);
-                            }
-                        }
-                        for seq in od.out_of_order() {
-                            let id = EventId::new(origin, seq);
-                            if !self.contains(id) {
-                                missing.push(id);
-                            }
-                        }
-                    }
-                    missing
-                }
-            },
+    /// the candidates for a retransmission pull (§2.3 footnote 5) — in
+    /// digest order. Lazy: a compact digest may advertise a watermark
+    /// anywhere in the `u64` range, so a caller that needs a few ids takes
+    /// them from the front and the rest are never enumerated.
+    pub fn missing_from<'a>(&'a self, digest: &'a Digest) -> impl Iterator<Item = EventId> + 'a {
+        match (digest, self) {
+            (Digest::Ids(ids), _) => {
+                Missing::Ids(ids.iter().copied().filter(move |&id| !self.contains(id)))
+            }
+            (Digest::Compact(theirs), EventHistory::Compact(ours)) => {
+                Missing::Merge(ours.missing_relative_to(theirs))
+            }
+            // Enumerate their ids exactly and filter locally.
+            (Digest::Compact(theirs), EventHistory::Bounded(buf)) => Missing::Enumerate(
+                theirs
+                    .iter()
+                    .flat_map(|(origin, od)| {
+                        (0..od.next_seq())
+                            .chain(od.out_of_order().iter().copied())
+                            .map(move |seq| EventId::new(origin, seq))
+                    })
+                    .filter(move |id| !buf.contains(id)),
+            ),
+        }
+    }
+}
+
+/// The iterator behind [`EventHistory::missing_from`], one variant per
+/// digest × history pairing.
+enum Missing<I, M, E> {
+    Ids(I),
+    Merge(M),
+    Enumerate(E),
+}
+
+impl<I, M, E> Iterator for Missing<I, M, E>
+where
+    I: Iterator<Item = EventId>,
+    M: Iterator<Item = EventId>,
+    E: Iterator<Item = EventId>,
+{
+    type Item = EventId;
+
+    fn next(&mut self) -> Option<EventId> {
+        match self {
+            Missing::Ids(it) => it.next(),
+            Missing::Merge(it) => it.next(),
+            Missing::Enumerate(it) => it.next(),
         }
     }
 }
@@ -165,8 +183,7 @@ mod tests {
         let mut h = EventHistory::new(HistoryMode::Bounded, 10);
         h.insert(eid(1, 0));
         let digest = Digest::Ids(vec![eid(1, 0), eid(1, 1), eid(2, 0)]);
-        let mut missing = h.missing_from(&digest);
-        missing.sort();
+        let missing: Vec<EventId> = h.missing_from(&digest).collect();
         assert_eq!(missing, vec![eid(1, 1), eid(2, 0)]);
     }
 
@@ -176,8 +193,8 @@ mod tests {
         h.insert(eid(1, 1));
         let mut theirs = CompactDigest::new();
         theirs.extend([eid(1, 0), eid(1, 1), eid(1, 2), eid(1, 4)]);
-        let mut missing = h.missing_from(&Digest::Compact(theirs));
-        missing.sort();
+        let digest = Digest::Compact(theirs);
+        let missing: Vec<EventId> = h.missing_from(&digest).collect();
         assert_eq!(missing, vec![eid(1, 0), eid(1, 2), eid(1, 4)]);
     }
 
@@ -187,7 +204,8 @@ mod tests {
         h.insert(eid(1, 0));
         let mut theirs = CompactDigest::new();
         theirs.extend([eid(1, 0), eid(1, 1)]);
-        assert_eq!(h.missing_from(&Digest::Compact(theirs)), vec![eid(1, 1)]);
+        let digest = Digest::Compact(theirs);
+        assert_eq!(h.missing_from(&digest).collect::<Vec<_>>(), vec![eid(1, 1)]);
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl Digest {
             Digest::Compact(d) => {
                 let mut out = Vec::new();
                 for (origin, od) in d.iter() {
-                    out.extend(od.out_of_order().map(|s| EventId::new(origin, s)));
+                    out.extend(od.out_of_order().iter().map(|&s| EventId::new(origin, s)));
                     if od.next_seq() > 0 {
                         // Represent the watermark by its newest id.
                         out.push(EventId::new(origin, od.next_seq() - 1));

@@ -451,35 +451,36 @@ impl Lpbcast {
 
         // ── Digest: gossip pull or §5.2 id absorption ─────────────────
         let missing = self.history.missing_from(&gossip.event_ids);
-        if !missing.is_empty() {
-            if self.config.retransmit_request_max > 0 {
-                // An id is eligible if never pulled, or if its one
-                // request/response datagram pair has been outstanding
-                // past the retry window — on a lossy transport either
-                // leg can vanish, and a pull that is never re-issued
-                // leaves the notification unrecoverable forever.
-                let now = self.now;
-                let retry = self.config.retransmit_retry_ticks;
-                let ids: Vec<EventId> = missing
-                    .into_iter()
-                    .filter(|id| match self.pending_pulls.get(id) {
-                        None => true,
-                        Some(&asked) => retry > 0 && now.since(asked) >= retry,
-                    })
-                    .take(self.config.retransmit_request_max)
-                    .collect();
-                if !ids.is_empty() {
-                    for &id in &ids {
-                        self.pending_pulls.insert(id, now);
-                    }
-                    // Bound the pending set against leaks from lost replies.
-                    if self.pending_pulls.len() > 4096 {
-                        self.pending_pulls.clear();
-                    }
-                    self.stats.retransmit_requests_sent += 1;
-                    output.send(gossip.sender, Message::RetransmitRequest { ids });
+        if self.config.retransmit_request_max > 0 {
+            // An id is eligible if never pulled, or if its one
+            // request/response datagram pair has been outstanding past
+            // the retry window — on a lossy transport either leg can
+            // vanish, and a pull that is never re-issued leaves the
+            // notification unrecoverable forever. Ids are drawn lazily:
+            // a peer's digest may advertise any number of them.
+            let now = self.now;
+            let retry = self.config.retransmit_retry_ticks;
+            let ids: Vec<EventId> = missing
+                .filter(|id| match self.pending_pulls.get(id) {
+                    None => true,
+                    Some(&asked) => retry > 0 && now.since(asked) >= retry,
+                })
+                .take(self.config.retransmit_request_max)
+                .collect();
+            if !ids.is_empty() {
+                for &id in &ids {
+                    self.pending_pulls.insert(id, now);
                 }
-            } else if self.config.deliver_on_digest {
+                // Bound the pending set against leaks from lost replies.
+                if self.pending_pulls.len() > 4096 {
+                    self.pending_pulls.clear();
+                }
+                self.stats.retransmit_requests_sent += 1;
+                output.send(gossip.sender, Message::RetransmitRequest { ids });
+            }
+        } else if self.config.deliver_on_digest {
+            let missing: Vec<EventId> = missing.collect();
+            if !missing.is_empty() {
                 for id in missing {
                     if self.history.insert(id) {
                         self.stats.ids_learned += 1;
@@ -494,9 +495,6 @@ impl Lpbcast {
         output
     }
 
-    /// §3.4: a joining process asked us to gossip its subscription on its
-    /// behalf. We adopt it into our view and `subs` buffer; it will then
-    /// circulate with our next gossip.
     /// Figure 1(a) phase 2 tail: evict view overflow (recycling the
     /// evicted entries into `subs` so knowledge keeps circulating), then
     /// bound `subs`. Uses the process's reusable eviction buffer.
@@ -511,6 +509,9 @@ impl Lpbcast {
         self.subs.truncate_random_count(&mut self.rng);
     }
 
+    /// §3.4: a joining process asked us to gossip its subscription on its
+    /// behalf. We adopt it into our view and `subs` buffer; it will then
+    /// circulate with our next gossip.
     fn handle_subscribe(&mut self, subscriber: ProcessId) -> Output {
         let mut output = Output::default();
         if subscriber != self.id {

@@ -810,6 +810,49 @@ mod tests {
         assert_eq!(clock(&cluster), end, "clock saturates");
     }
 
+    /// The bounded pull through the runtime: a datagram whose compact
+    /// digest advertises watermarks at the end of the `u64` range is
+    /// answered with one pull of at most `retransmit_request_max` ids
+    /// instead of enumerating every advertised id inside a step.
+    #[test]
+    fn end_of_range_digest_cannot_stall_a_step() {
+        use lpbcast_core::{Digest, Gossip, Message, UnsubSection};
+        use lpbcast_types::{CompactDigest, OriginDigest};
+        let (me, liar) = (ProcessId::new(0), ProcessId::new(1));
+        let digest = CompactDigest::from_origins([
+            (
+                ProcessId::new(9),
+                OriginDigest::from_parts(u64::MAX, [u64::MAX]),
+            ),
+            (ProcessId::new(3), OriginDigest::from_parts(u64::MAX, [])),
+        ]);
+        let mut cluster = cluster_of(1, 0, &[me, liar], Duration::from_millis(2));
+        let gossip = Message::gossip(Gossip {
+            sender: liar,
+            subs: vec![],
+            unsubs: UnsubSection::empty(),
+            events: vec![],
+            event_ids: Digest::Compact(digest),
+        });
+        let mut datagram = BytesMut::new();
+        wire::encode_cluster_header(liar, me, &mut datagram);
+        wire::encode_frame(&gossip, &mut datagram);
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        socket
+            .send_to(&datagram, cluster.local_addrs()[0])
+            .expect("send");
+
+        let pulls = |c: &Cluster<Lpbcast>| {
+            c.with_instance(me, |p| p.stats().retransmit_requests_sent)
+                .expect("hosted")
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pulls(&cluster) == 0 && Instant::now() < deadline {
+            cluster.step(Duration::from_millis(2)).expect("step");
+        }
+        assert_eq!(pulls(&cluster), 1, "hostile digest answered by one pull");
+    }
+
     #[test]
     fn link_fault_hook_can_black_hole_egress() {
         let interval = Duration::from_millis(5);

@@ -33,6 +33,8 @@
 //!     0: u16 |ids| then |ids| × (u64 origin, u64 seq)
 //!     1: u16 |origins| then per origin:
 //!        u64 origin, u64 next_seq, u16 |ooo| then |ooo| × u64
+//!        (encoded with ascending origins and ooo ids; the decoder
+//!        sorts and merges any other order into the same digest)
 //!
 //! kind 1 — Subscribe:           u64 subscriber
 //! kind 2 — RetransmitRequest:   u16 |ids| then |ids| × (u64, u64)
@@ -109,7 +111,7 @@ use lpbcast_core::{
 use lpbcast_membership::{SwimMsg, Update, UpdateState};
 use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
 use lpbcast_pubsub::{PubSubMessage, TopicId};
-use lpbcast_types::{CompactDigest, Event, EventId, FastMap, ProcessId};
+use lpbcast_types::{CompactDigest, Event, EventId, FastMap, OriginDigest, ProcessId};
 
 /// First byte of every datagram.
 pub const MAGIC: u8 = 0x6C; // 'l' for lpbcast
@@ -417,7 +419,7 @@ fn gossip_len(g: &Gossip) -> usize {
         Digest::Compact(d) => {
             2 + d
                 .iter()
-                .map(|(_, od)| 18 + 8 * od.out_of_order().count())
+                .map(|(_, od)| 18 + 8 * od.out_of_order().len())
                 .sum::<usize>()
         }
     };
@@ -830,9 +832,9 @@ fn encode_gossip(buf: &mut BytesMut, g: &Gossip) {
             for (origin, od) in d.iter() {
                 buf.put_u64_le(origin.as_u64());
                 buf.put_u64_le(od.next_seq());
-                let ooo: Vec<u64> = od.out_of_order().collect();
+                let ooo = od.out_of_order();
                 buf.put_u16_le(ooo.len() as u16);
-                for s in ooo {
+                for &s in ooo {
                     buf.put_u64_le(s);
                 }
             }
@@ -960,7 +962,10 @@ fn decode_gossip(buf: &mut &[u8]) -> Result<Gossip, WireError> {
         1 => {
             let n_origins = take_u16(buf)? as usize;
             check_capacity(buf, n_origins, 18)?;
-            let mut compact = CompactDigest::new();
+            // One pass: entries arrive in ascending origin order from an
+            // honest encoder and are taken as is; any other order is
+            // sorted and merged once by `from_origins`.
+            let mut entries = Vec::with_capacity(n_origins);
             for _ in 0..n_origins {
                 let origin = ProcessId::new(take_u64(buf)?);
                 let next_seq = take_u64(buf)?;
@@ -970,12 +975,9 @@ fn decode_gossip(buf: &mut &[u8]) -> Result<Gossip, WireError> {
                 for _ in 0..n_ooo {
                     ooo.push(take_u64(buf)?);
                 }
-                compact.set_origin(
-                    origin,
-                    lpbcast_types::OriginDigest::from_parts(next_seq, ooo),
-                );
+                entries.push((origin, OriginDigest::from_parts(next_seq, ooo)));
             }
-            Digest::Compact(compact)
+            Digest::Compact(CompactDigest::from_origins(entries))
         }
         t => return Err(WireError::BadTag(t)),
     };
@@ -1131,6 +1133,47 @@ mod tests {
                 assert_eq!(p.now(), end, "clock saturates instead of wrapping");
                 assert!(!out.outgoing.is_empty(), "gossip still goes out");
             }
+        }
+    }
+
+    /// A hostile digest can advertise ~2^65 ids. The pull path takes at
+    /// most `retransmit_request_max` of them, lazily and in digest order,
+    /// in either history mode; the digest's advertised count saturates.
+    #[test]
+    fn end_of_range_digest_watermarks_yield_a_bounded_pull() {
+        use lpbcast_core::{Config, HistoryMode, Lpbcast};
+        let hostile = Message::gossip(Gossip {
+            sender: pid(1),
+            subs: vec![],
+            unsubs: UnsubSection::empty(),
+            events: vec![],
+            event_ids: Digest::Compact(CompactDigest::from_origins([
+                (pid(9), OriginDigest::from_parts(u64::MAX, [u64::MAX])),
+                (pid(3), OriginDigest::from_parts(u64::MAX, [])),
+            ])),
+        });
+        let decoded: Message = decode(&encode(&hostile)).expect("decodes");
+        let Message::Gossip(g) = &decoded else {
+            panic!("kind changed")
+        };
+        assert_eq!(g.event_ids.advertised_count(), u64::MAX);
+        for mode in [HistoryMode::Bounded, HistoryMode::Compact] {
+            let config = Config::builder()
+                .view_size(4)
+                .fanout(2)
+                .history_mode(mode)
+                .retransmit_request_max(16)
+                .build();
+            let mut p = Lpbcast::with_initial_view(pid(0), config, 7, [pid(1), pid(2)]);
+            let started = std::time::Instant::now();
+            let out = p.handle_message(pid(1), decoded.clone());
+            assert!(started.elapsed().as_secs() < 5, "{mode:?}: prompt");
+            let [(to, Message::RetransmitRequest { ids })] = out.outgoing.as_slice() else {
+                panic!("{mode:?}: one pull request expected")
+            };
+            assert_eq!(*to, pid(1));
+            let expected: Vec<EventId> = (0..16).map(|s| eid(3, s)).collect();
+            assert_eq!(ids, &expected, "{mode:?}: first ids in digest order");
         }
     }
 

@@ -233,7 +233,7 @@ fn reference_encode_gossip(g: &Gossip) -> Vec<u8> {
             for (origin, od) in d.iter() {
                 out.extend_from_slice(&origin.as_u64().to_le_bytes());
                 out.extend_from_slice(&od.next_seq().to_le_bytes());
-                let ooo: Vec<u64> = od.out_of_order().collect();
+                let ooo = od.out_of_order();
                 out.extend_from_slice(&(ooo.len() as u16).to_le_bytes());
                 for s in ooo {
                     out.extend_from_slice(&s.to_le_bytes());

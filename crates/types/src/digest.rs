@@ -7,11 +7,28 @@
 //!
 //! [`CompactDigest`] implements exactly that optimisation: for every origin
 //! it stores the next expected sequence number (everything below it has
-//! been seen) plus the set of out-of-order sequence numbers at or above it.
+//! been seen) plus the sequence numbers seen out of order above it.
 //! It is used by the retransmission machinery (gossip pull) and offered by
 //! `lpbcast-core` as an alternative to the bounded `eventIds` history.
-
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! # Layout
+//!
+//! A digest is one contiguous array of `(origin, OriginDigest)` entries
+//! sorted by origin, each origin at most once; lookups binary-search it.
+//! An [`OriginDigest`] is the in-sequence watermark plus an optional boxed
+//! list of out-of-order sequence numbers (sorted, distinct). The box is one
+//! pointer wide and absent when nothing is out of order, so:
+//!
+//! * an origin seen strictly in sequence — the steady state — costs 24
+//!   bytes of the shared array and no allocation of its own;
+//! * an origin with `k` out-of-order ids adds one 24-byte list header and
+//!   one `8·k`-byte buffer.
+//!
+//! Every emitted gossip clones its sender's digest, so a clone is one
+//! array allocation (plus one per origin with out-of-order ids).
+//! [`CompactDigest::iter`] walks ascending origins and each origin's
+//! out-of-order ids ascend: the wire encoding and the order of
+//! [`CompactDigest::missing_relative_to`] follow from that.
 
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
@@ -20,13 +37,18 @@ use crate::{EventId, ProcessId};
 
 /// Digest of the notifications seen from a single origin.
 ///
-/// Invariant: every sequence number `< next_seq` is contained; every member
-/// of `out_of_order` is `>= next_seq`.
+/// Invariant: every sequence number `< next_seq` is contained; the
+/// out-of-order list is sorted, distinct, never empty when present, and
+/// every member is `> next_seq`. The one exception is `u64::MAX`, which no
+/// watermark can cover: it stays listed when `next_seq == u64::MAX`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct OriginDigest {
     next_seq: u64,
-    out_of_order: BTreeSet<u64>,
+    // Boxed so the common empty case costs one null pointer, not a
+    // three-word `Vec` header, in every entry of the origin array.
+    #[allow(clippy::box_collection)]
+    out_of_order: Option<Box<Vec<u64>>>,
 }
 
 impl OriginDigest {
@@ -36,18 +58,24 @@ impl OriginDigest {
     }
 
     /// Reassembles a digest from its wire parts: the in-sequence watermark
-    /// and the out-of-order set. Out-of-order entries at or below the
-    /// watermark are absorbed, contiguous runs are compacted — the result
-    /// always satisfies the struct invariant regardless of input.
+    /// and the out-of-order ids, in any order and with repeats. Entries
+    /// below the watermark are dropped and runs that continue it are
+    /// absorbed, so the result always satisfies the struct invariant.
+    /// Ascending input is taken as is; anything else is sorted once.
     pub fn from_parts(next_seq: u64, out_of_order: impl IntoIterator<Item = u64>) -> Self {
-        let mut d = OriginDigest {
-            next_seq,
-            out_of_order: BTreeSet::new(),
-        };
-        for seq in out_of_order {
-            d.insert(seq);
+        let mut ooo: Vec<u64> = out_of_order.into_iter().collect();
+        if !ooo.windows(2).all(|w| w[0] < w[1]) {
+            ooo.sort_unstable();
+            ooo.dedup();
         }
-        d
+        let mut next_seq = next_seq;
+        let below = ooo.partition_point(|&s| s < next_seq);
+        let absorbed = below + absorb_run(&mut next_seq, &ooo[below..]);
+        ooo.drain(..absorbed);
+        OriginDigest {
+            next_seq,
+            out_of_order: (!ooo.is_empty()).then(|| Box::new(ooo)),
+        }
     }
 
     /// The smallest sequence number not yet seen in sequence. All sequence
@@ -56,61 +84,110 @@ impl OriginDigest {
         self.next_seq
     }
 
-    /// Sequence numbers seen out of order (each `>= next_seq`).
-    pub fn out_of_order(&self) -> impl Iterator<Item = u64> + '_ {
-        self.out_of_order.iter().copied()
+    /// Sequence numbers seen out of order, ascending (each `> next_seq`).
+    pub fn out_of_order(&self) -> &[u64] {
+        self.out_of_order.as_deref().map_or(&[], Vec::as_slice)
     }
 
     /// Whether `seq` has been seen.
     pub fn contains(&self, seq: u64) -> bool {
-        seq < self.next_seq || self.out_of_order.contains(&seq)
+        seq < self.next_seq || self.out_of_order().binary_search(&seq).is_ok()
     }
 
     /// Records `seq`; returns `true` if it was unseen. Absorbs any
     /// out-of-order run that becomes contiguous.
     pub fn insert(&mut self, seq: u64) -> bool {
-        if self.contains(seq) {
+        if seq < self.next_seq {
             return false;
         }
-        if seq == self.next_seq {
+        if seq == self.next_seq && seq != u64::MAX {
             self.next_seq += 1;
-            while self.out_of_order.remove(&self.next_seq) {
-                self.next_seq += 1;
+            if let Some(ooo) = self.out_of_order.as_deref_mut() {
+                let run = absorb_run(&mut self.next_seq, ooo);
+                ooo.drain(..run);
+                if ooo.is_empty() {
+                    self.out_of_order = None;
+                }
             }
-        } else {
-            self.out_of_order.insert(seq);
+            return true;
         }
-        true
+        let ooo = self.out_of_order.get_or_insert_with(Box::default);
+        match ooo.binary_search(&seq) {
+            Ok(_) => false,
+            Err(pos) => {
+                ooo.insert(pos, seq);
+                true
+            }
+        }
     }
 
-    /// Number of distinct sequence numbers seen.
+    /// The union of two digests: the larger watermark subsumes the smaller
+    /// one, and the out-of-order lists are merged with one sort.
+    fn union(self, other: OriginDigest) -> OriginDigest {
+        let next_seq = self.next_seq.max(other.next_seq);
+        let mut ooo = self.out_of_order.map_or_else(Vec::new, |b| *b);
+        ooo.extend_from_slice(other.out_of_order());
+        OriginDigest::from_parts(next_seq, ooo)
+    }
+
+    /// Number of distinct sequence numbers seen (saturating: a peer's
+    /// digest may claim a watermark at the end of the range).
     pub fn seen_count(&self) -> u64 {
-        self.next_seq + self.out_of_order.len() as u64
+        self.next_seq
+            .saturating_add(self.out_of_order().len() as u64)
     }
 
     /// Storage cost of the digest in entries (1 for the in-sequence
     /// watermark + one per out-of-order id) — the quantity the §3.2
     /// optimisation minimises.
     pub fn storage_entries(&self) -> usize {
-        1 + self.out_of_order.len()
+        1 + self.out_of_order().len()
     }
 
     /// Sequence numbers `< bound` that have **not** been seen — the gaps a
     /// retransmission pull would request.
     pub fn missing_below(&self, bound: u64) -> Vec<u64> {
         (self.next_seq..bound)
-            .filter(|s| !self.out_of_order.contains(s))
+            .filter(|&s| !self.contains(s))
             .collect()
     }
 
     /// Highest sequence number seen, or `None` if nothing was seen.
     pub fn max_seen(&self) -> Option<u64> {
-        self.out_of_order
-            .iter()
-            .next_back()
+        self.out_of_order()
+            .last()
             .copied()
             .or_else(|| self.next_seq.checked_sub(1))
     }
+
+    /// Sequence numbers seen here but not in `ours` (`None`: nothing seen),
+    /// lazily: first the in-sequence gap above `ours`' watermark, then the
+    /// out-of-order extras, each ascending.
+    fn missing_in<'a>(&'a self, ours: Option<&'a OriginDigest>) -> impl Iterator<Item = u64> + 'a {
+        let start = ours.map_or(0, |d| d.next_seq);
+        let ours_ooo = ours.map_or(&[][..], OriginDigest::out_of_order);
+        let gap = (start..self.next_seq).filter(move |s| ours_ooo.binary_search(s).is_err());
+        let extras = self
+            .out_of_order()
+            .iter()
+            .copied()
+            .filter(move |&s| !ours.is_some_and(|d| d.contains(s)));
+        gap.chain(extras)
+    }
+}
+
+/// Advances `next_seq` over the leading run of `sorted` that continues
+/// it; returns the length of that run. `u64::MAX` is never absorbed.
+fn absorb_run(next_seq: &mut u64, sorted: &[u64]) -> usize {
+    let mut run = 0;
+    for &seq in sorted {
+        if seq != *next_seq || seq == u64::MAX {
+            break;
+        }
+        *next_seq += 1;
+        run += 1;
+    }
+    run
 }
 
 /// Compact digest over all origins: the optimised `eventIds` representation
@@ -135,7 +212,8 @@ impl OriginDigest {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct CompactDigest {
-    origins: BTreeMap<ProcessId, OriginDigest>,
+    /// Sorted by origin, each origin at most once.
+    origins: Vec<(ProcessId, OriginDigest)>,
 }
 
 impl CompactDigest {
@@ -144,51 +222,70 @@ impl CompactDigest {
         Self::default()
     }
 
+    /// Builds a digest from per-origin entries in any order (wire
+    /// decoding). Entries for the same origin are merged as
+    /// [`set_origin`](Self::set_origin) would merge them. Ascending
+    /// input is taken as is; anything else is sorted and merged once.
+    pub fn from_origins(entries: impl IntoIterator<Item = (ProcessId, OriginDigest)>) -> Self {
+        let mut origins: Vec<(ProcessId, OriginDigest)> = entries.into_iter().collect();
+        if !origins.windows(2).all(|w| w[0].0 < w[1].0) {
+            origins.sort_by_key(|(origin, _)| *origin);
+            let mut merged: Vec<(ProcessId, OriginDigest)> = Vec::with_capacity(origins.len());
+            for (origin, digest) in origins {
+                match merged.last_mut() {
+                    Some((last, slot)) if *last == origin => {
+                        *slot = std::mem::take(slot).union(digest);
+                    }
+                    _ => merged.push((origin, digest)),
+                }
+            }
+            origins = merged;
+        }
+        CompactDigest { origins }
+    }
+
+    fn find(&self, origin: ProcessId) -> Result<usize, usize> {
+        self.origins.binary_search_by_key(&origin, |(p, _)| *p)
+    }
+
     /// Whether the notification id has been seen.
     pub fn contains(&self, id: EventId) -> bool {
-        self.origins
-            .get(&id.origin())
+        self.origin(id.origin())
             .is_some_and(|d| d.contains(id.seq()))
     }
 
     /// Records a notification id; returns `true` if it was unseen.
     pub fn insert(&mut self, id: EventId) -> bool {
-        self.origins
-            .entry(id.origin())
-            .or_default()
-            .insert(id.seq())
+        let i = match self.find(id.origin()) {
+            Ok(i) => i,
+            Err(i) => {
+                self.origins.insert(i, (id.origin(), OriginDigest::new()));
+                i
+            }
+        };
+        self.origins[i].1.insert(id.seq())
     }
 
-    /// Installs a whole per-origin digest (wire decoding). Merges with any
-    /// digest already present for `origin`.
+    /// Installs a whole per-origin digest. Merges with any digest already
+    /// present for `origin`.
     pub fn set_origin(&mut self, origin: ProcessId, digest: OriginDigest) {
-        let slot = self.origins.entry(origin).or_default();
-        if slot.next_seq == 0 && slot.out_of_order.is_empty() {
-            *slot = digest;
-        } else {
-            // Merge: the larger watermark subsumes the smaller one, so
-            // only the smaller side's out-of-order entries need
-            // re-insertion.
-            let (mut base, other) = if slot.next_seq >= digest.next_seq {
-                (slot.clone(), digest)
-            } else {
-                (digest, slot.clone())
-            };
-            for seq in other.out_of_order {
-                base.insert(seq);
+        match self.find(origin) {
+            Ok(i) => {
+                let slot = &mut self.origins[i].1;
+                *slot = std::mem::take(slot).union(digest);
             }
-            *slot = base;
+            Err(i) => self.origins.insert(i, (origin, digest)),
         }
     }
 
     /// The per-origin digest for `origin`, if any notification from it has
     /// been seen.
     pub fn origin(&self, origin: ProcessId) -> Option<&OriginDigest> {
-        self.origins.get(&origin)
+        self.find(origin).ok().map(|i| &self.origins[i].1)
     }
 
-    /// Iterates over `(origin, digest)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &OriginDigest)> {
+    /// Iterates over `(origin, digest)` pairs in ascending origin order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (ProcessId, &OriginDigest)> {
         self.origins.iter().map(|(p, d)| (*p, d))
     }
 
@@ -197,18 +294,17 @@ impl CompactDigest {
         self.origins.len()
     }
 
-    /// Total distinct notification ids seen.
+    /// Total distinct notification ids seen (saturating).
     pub fn seen_count(&self) -> u64 {
-        self.origins.values().map(OriginDigest::seen_count).sum()
+        self.origins
+            .iter()
+            .fold(0u64, |acc, (_, d)| acc.saturating_add(d.seen_count()))
     }
 
     /// Total storage entries (the quantity bounded by the §3.2
     /// optimisation).
     pub fn storage_entries(&self) -> usize {
-        self.origins
-            .values()
-            .map(OriginDigest::storage_entries)
-            .sum()
+        self.origins.iter().map(|(_, d)| d.storage_entries()).sum()
     }
 
     /// Internal gaps: ids below each origin's highest seen sequence number
@@ -219,7 +315,7 @@ impl CompactDigest {
         for (origin, d) in &self.origins {
             if let Some(max) = d.max_seen() {
                 out.extend(
-                    d.missing_below(max + 1)
+                    d.missing_below(max)
                         .into_iter()
                         .map(|s| EventId::new(*origin, s)),
                 );
@@ -230,25 +326,28 @@ impl CompactDigest {
 
     /// Ids present in `other` but absent here — what this process should
     /// request from the sender of `other` (gossip pull, §2.3 footnote 5).
-    pub fn missing_relative_to(&self, other: &CompactDigest) -> Vec<EventId> {
-        let mut out = Vec::new();
-        for (origin, theirs) in &other.origins {
-            let empty = OriginDigest::new();
-            let ours = self.origins.get(origin).unwrap_or(&empty);
-            // In-sequence prefix they have beyond ours.
-            for seq in ours.next_seq..theirs.next_seq {
-                if !ours.out_of_order.contains(&seq) {
-                    out.push(EventId::new(*origin, seq));
-                }
-            }
-            // Their out-of-order extras.
-            for &seq in &theirs.out_of_order {
-                if !ours.contains(seq) {
-                    out.push(EventId::new(*origin, seq));
-                }
-            }
-        }
-        out
+    ///
+    /// Lazy, a merge-join over the two sorted origin arrays: ascending
+    /// origin, then per origin the in-sequence gap before `other`'s
+    /// out-of-order extras. A peer may advertise a watermark anywhere in
+    /// the `u64` range, so callers that need only a few ids take them
+    /// from the front instead of collecting.
+    pub fn missing_relative_to<'a>(
+        &'a self,
+        other: &'a CompactDigest,
+    ) -> impl Iterator<Item = EventId> + 'a {
+        let mut ours = self.origins.iter().peekable();
+        other.origins.iter().flat_map(move |(origin, theirs)| {
+            while ours.next_if(|(p, _)| p < origin).is_some() {}
+            let mine = ours
+                .peek()
+                .copied()
+                .filter(|(p, _)| p == origin)
+                .map(|(_, d)| d);
+            theirs
+                .missing_in(mine)
+                .map(move |seq| EventId::new(*origin, seq))
+        })
     }
 }
 
@@ -289,6 +388,7 @@ mod tests {
         assert_eq!(d.next_seq(), 100);
         assert_eq!(d.storage_entries(), 1, "fully compacted");
         assert_eq!(d.seen_count(), 100);
+        assert!(d.out_of_order.is_none(), "no list allocated");
     }
 
     #[test]
@@ -307,6 +407,7 @@ mod tests {
         d.insert(3);
         assert_eq!(d.next_seq(), 5);
         assert_eq!(d.storage_entries(), 1);
+        assert!(d.out_of_order.is_none(), "emptied list is released");
     }
 
     #[test]
@@ -329,6 +430,32 @@ mod tests {
     }
 
     #[test]
+    fn from_parts_canonicalises_any_input() {
+        let d = OriginDigest::from_parts(3, [9, 1, 4, 3, 9, 6, 5]);
+        assert_eq!(d.next_seq(), 7, "3..=6 continue the watermark");
+        assert_eq!(d.out_of_order(), &[9]);
+        assert_eq!(d, OriginDigest::from_parts(7, [9]));
+        assert_eq!(
+            OriginDigest::from_parts(4, [1, 2]),
+            OriginDigest::from_parts(4, [])
+        );
+    }
+
+    #[test]
+    fn end_of_range_sequence_numbers_do_not_overflow() {
+        let mut d = OriginDigest::from_parts(u64::MAX, [u64::MAX]);
+        assert_eq!(d.next_seq(), u64::MAX);
+        assert_eq!(d.out_of_order(), &[u64::MAX]);
+        assert!(d.contains(u64::MAX) && d.contains(0));
+        assert!(!d.insert(u64::MAX));
+        assert_eq!(d.seen_count(), u64::MAX, "saturates");
+        let mut e = OriginDigest::from_parts(u64::MAX - 1, []);
+        assert!(e.insert(u64::MAX - 1));
+        assert!(e.insert(u64::MAX));
+        assert_eq!(e, d);
+    }
+
+    #[test]
     fn compact_digest_tracks_multiple_origins() {
         let mut d = CompactDigest::new();
         d.insert(eid(1, 0));
@@ -341,14 +468,37 @@ mod tests {
     }
 
     #[test]
+    fn origins_stay_sorted_whatever_the_insertion_order() {
+        let d: CompactDigest = [eid(9, 0), eid(2, 0), eid(5, 1), eid(2, 1)]
+            .into_iter()
+            .collect();
+        let origins: Vec<u64> = d.iter().map(|(p, _)| p.as_u64()).collect();
+        assert_eq!(origins, vec![2, 5, 9]);
+    }
+
+    #[test]
+    fn from_origins_merges_like_set_origin() {
+        let entries = [
+            (pid(4), OriginDigest::from_parts(2, [7])),
+            (pid(1), OriginDigest::from_parts(0, [3])),
+            (pid(4), OriginDigest::from_parts(5, [6, 9])),
+        ];
+        let mut expected = CompactDigest::new();
+        for (origin, digest) in entries.clone() {
+            expected.set_origin(origin, digest);
+        }
+        let built = CompactDigest::from_origins(entries);
+        assert_eq!(built, expected);
+        assert_eq!(built.origin(pid(4)).unwrap().out_of_order(), &[6, 7, 9]);
+    }
+
+    #[test]
     fn missing_reports_internal_gaps_only() {
         let mut d = CompactDigest::new();
         d.insert(eid(1, 0));
         d.insert(eid(1, 3));
         d.insert(eid(2, 0));
-        let mut gaps = d.missing();
-        gaps.sort();
-        assert_eq!(gaps, vec![eid(1, 1), eid(1, 2)]);
+        assert_eq!(d.missing(), vec![eid(1, 1), eid(1, 2)]);
     }
 
     #[test]
@@ -357,25 +507,31 @@ mod tests {
         mine.extend([eid(1, 0), eid(1, 1), eid(2, 5)]);
         let mut theirs = CompactDigest::new();
         theirs.extend([eid(1, 0), eid(1, 1), eid(1, 2), eid(2, 5), eid(3, 0)]);
-        let mut pull = mine.missing_relative_to(&theirs);
-        pull.sort();
+        let pull: Vec<EventId> = mine.missing_relative_to(&theirs).collect();
         assert_eq!(pull, vec![eid(1, 2), eid(3, 0)]);
-        // Symmetric direction: they lack nothing we have... except (2,0..5)?
         // We only saw (2,5) out of order; they saw the same. Nothing due.
-        assert!(theirs.missing_relative_to(&mine).is_empty());
+        assert_eq!(theirs.missing_relative_to(&mine).next(), None);
     }
 
     #[test]
     fn missing_relative_to_handles_out_of_order_prefixes() {
-        // We saw seq 1 out of order; their prefix covers 0..3. We must pull
-        // 0 and 2, not 1.
+        // We saw seq 1 out of order; their prefix covers 0..3 and they saw
+        // 5 out of order. We must pull 0, 2 then 5, not 1.
         let mut mine = CompactDigest::new();
         mine.insert(eid(7, 1));
         let mut theirs = CompactDigest::new();
-        theirs.extend([eid(7, 0), eid(7, 1), eid(7, 2)]);
-        let mut pull = mine.missing_relative_to(&theirs);
-        pull.sort();
-        assert_eq!(pull, vec![eid(7, 0), eid(7, 2)]);
+        theirs.extend([eid(7, 0), eid(7, 1), eid(7, 2), eid(7, 5)]);
+        let pull: Vec<EventId> = mine.missing_relative_to(&theirs).collect();
+        assert_eq!(pull, vec![eid(7, 0), eid(7, 2), eid(7, 5)]);
+    }
+
+    #[test]
+    fn missing_relative_to_is_lazy_for_end_of_range_watermarks() {
+        let mut theirs = CompactDigest::new();
+        theirs.set_origin(pid(3), OriginDigest::from_parts(u64::MAX, []));
+        let mine: CompactDigest = [eid(3, 0)].into_iter().collect();
+        let first: Vec<EventId> = mine.missing_relative_to(&theirs).take(3).collect();
+        assert_eq!(first, vec![eid(3, 1), eid(3, 2), eid(3, 3)]);
     }
 
     #[test]

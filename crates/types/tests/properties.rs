@@ -149,7 +149,7 @@ proptest! {
         let mine_set: BTreeSet<EventId> = mine_raw.iter().map(|&(p, s)| eid(p, s)).collect();
         let theirs_set: BTreeSet<EventId> = theirs_raw.iter().map(|&(p, s)| eid(p, s)).collect();
 
-        let mut pull = mine.missing_relative_to(&theirs);
+        let mut pull: Vec<EventId> = mine.missing_relative_to(&theirs).collect();
         pull.sort();
         let pull_set: BTreeSet<EventId> = pull.iter().copied().collect();
         prop_assert_eq!(pull_set.len(), pull.len(), "no duplicates");
